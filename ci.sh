@@ -18,6 +18,21 @@ cargo build --release --offline
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
+echo "== perfbench (build + smoke) =="
+# perfbench is a cargo workspace of its own, so the builds above never
+# compile it: build it here so a library API change cannot break the
+# benchmark silently, then run one short traced estimate and require a
+# correct result with no failed reps.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+PERFBENCH_LAST=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload cam4-cold-8t --seed 1 --seconds 1 --trace 1 | tail -n1)
+python3 - "$PERFBENCH_LAST" <<'PY'
+import json, sys
+r = json.loads(sys.argv[1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit(f"perfbench-smoke: want correct=true and failed=0, got {sys.argv[1][:300]}")
+PY
+
 echo "== bench-smoke (analysis cost) =="
 # Quick variant of the analysis-cost benchmark: proves the single-pass
 # checkpoint generator still replays exactly once (asserted inside the

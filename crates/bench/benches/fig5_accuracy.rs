@@ -6,7 +6,9 @@
 //!     microarchitecture-portability study (analysis is done once and
 //!     reused, exactly as the paper argues it can be).
 
-use looppoint::{error_pct, extrapolate, simulate_representatives, simulate_whole};
+use looppoint::{
+    error_pct, extrapolate, simulate_prepared, simulate_whole, PreparedCheckpoints, SimOptions,
+};
 use lp_bench::paper;
 use lp_bench::table::{f, title, Table};
 use lp_bench::{analyze_app, evaluate_app, mean, SPEC_THREADS};
@@ -71,8 +73,10 @@ fn main() {
         // One analysis, reused for the other microarchitecture.
         let (program, nthreads, analysis) =
             analyze_app(&spec, InputClass::Train, SPEC_THREADS, WaitPolicy::Passive).unwrap();
+        let plan = PreparedCheckpoints::from_reset(&analysis);
         let results =
-            simulate_representatives(&analysis, &program, nthreads, &inorder, true).unwrap();
+            simulate_prepared(&plan, &program, nthreads, &inorder, &SimOptions::parallel())
+                .unwrap();
         let prediction = extrapolate(&results);
         let full = simulate_whole(&program, nthreads, &inorder).unwrap();
         let err = error_pct(prediction.total_cycles, full.cycles as f64);

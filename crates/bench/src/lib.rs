@@ -18,9 +18,9 @@ pub mod paper;
 pub mod table;
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives,
-    simulate_representatives_checkpointed, simulate_whole, speedups, Analysis, LoopPointConfig,
-    LoopPointError, Prediction, RegionResult, SpeedupReport,
+    analyze, error_pct, extrapolate, prepare_region_checkpoints, simulate_prepared, simulate_whole,
+    speedups, Analysis, LoopPointConfig, LoopPointError, Prediction, PreparedCheckpoints,
+    RegionResult, SimOptions, SpeedupReport, DEFAULT_WARMUP_SLICES,
 };
 use lp_omp::WaitPolicy;
 use lp_sim::SimStats;
@@ -164,8 +164,8 @@ pub fn evaluate_app(
 }
 
 /// Like [`evaluate_app`], selecting checkpoint-driven region simulation
-/// (`checkpointed = true`, two warmup slices per region) — the mode the
-/// actual-speedup figures (Fig. 8/10) use.
+/// (`checkpointed = true`, [`DEFAULT_WARMUP_SLICES`] warmup slices per
+/// region) — the mode the actual-speedup figures (Fig. 8/10) use.
 ///
 /// # Errors
 /// [`BenchError`] naming the workload and the failing phase.
@@ -185,13 +185,14 @@ pub fn evaluate_app_mode(
     // without host contention, so the *parallel* speedup (full wall over
     // the largest single region, §V-B's "assuming sufficient parallel
     // resources") is computed from clean per-region times.
-    let results = if checkpointed {
-        simulate_representatives_checkpointed(&analysis, &program, nthreads, simcfg, 2, false)
-            .map_err(BenchError::new(spec.name, "region simulation"))?
+    let plan = if checkpointed {
+        prepare_region_checkpoints(&analysis, &program, DEFAULT_WARMUP_SLICES)
+            .map_err(BenchError::new(spec.name, "checkpoint generation"))?
     } else {
-        simulate_representatives(&analysis, &program, nthreads, simcfg, false)
-            .map_err(BenchError::new(spec.name, "region simulation"))?
+        PreparedCheckpoints::from_reset(&analysis)
     };
+    let results = simulate_prepared(&plan, &program, nthreads, simcfg, &SimOptions::default())
+        .map_err(BenchError::new(spec.name, "region simulation"))?;
     let prediction = extrapolate(&results);
     let full = simulate_whole(&program, nthreads, simcfg)
         .map_err(BenchError::new(spec.name, "full simulation"))?;

@@ -5,10 +5,9 @@
 //! a job must honor a timeout or an explicit cancel without taking the
 //! whole process down. A [`CancelToken`] is a cheap, clonable flag that
 //! callers hand to a pipeline run (via
-//! [`crate::LoopPointConfig::with_cancel`] or the `*_with_cancel`
-//! simulation entry points) and trip from any thread; the pipeline checks
-//! it at phase boundaries and between region simulations and aborts with
-//! [`crate::LoopPointError::Cancelled`].
+//! [`crate::LoopPointConfig::with_cancel`]) and trip from any thread; the
+//! pipeline checks it at phase boundaries and between region simulations
+//! and aborts with [`crate::LoopPointError::Cancelled`].
 //!
 //! Granularity is deliberately coarse (a phase or a single region, not an
 //! individual simulated instruction): checks are free on the hot path and

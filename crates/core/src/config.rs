@@ -13,6 +13,11 @@ use lp_simpoint::SimpointConfig;
 /// flag `--max-steps`.
 pub const DEFAULT_MAX_STEPS: u64 = 4_000_000_000;
 
+/// Default checkpoint warmup window, in slices: each region's checkpoint
+/// is cut this many slices before its start marker, and the simulator
+/// fast-forwards (warming caches and predictors) through the gap.
+pub const DEFAULT_WARMUP_SLICES: usize = 2;
+
 /// Configuration of the end-to-end LoopPoint pipeline.
 ///
 /// Defaults reproduce the paper's settings, scaled ~1000× down in
@@ -44,7 +49,7 @@ pub struct LoopPointConfig {
     /// capture a pipeline run in isolation.
     pub obs: lp_obs::Observer,
     /// Cooperative cancellation flag, checked at phase boundaries (and by
-    /// the `*_with_cancel` simulation entry points between regions). The
+    /// [`crate::run_job`] between region simulations). The
     /// default token is never tripped; *not* part of the content key.
     pub cancel: crate::CancelToken,
     /// Distributed trace context this run's spans parent under. When set,

@@ -70,7 +70,10 @@ pub fn diagnose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, simulate_representatives, simulate_whole, LoopPointConfig};
+    use crate::{
+        analyze, simulate_prepared, simulate_whole, LoopPointConfig, PreparedCheckpoints,
+        SimOptions,
+    };
     use lp_omp::WaitPolicy;
     use lp_uarch::SimConfig;
 
@@ -82,7 +85,9 @@ mod tests {
         cfg.obs = obs.clone();
         let analysis = analyze(&program, 2, &cfg).unwrap();
         let simcfg = SimConfig::gainestown(2);
-        let results = simulate_representatives(&analysis, &program, 2, &simcfg, false).unwrap();
+        let plan = PreparedCheckpoints::from_reset(&analysis);
+        let results =
+            simulate_prepared(&plan, &program, 2, &simcfg, &SimOptions::default()).unwrap();
         let full = simulate_whole(&program, 2, &simcfg).unwrap();
 
         let report = diagnose("phased", 2, &analysis, &results, Some(&full), &obs);
@@ -112,7 +117,9 @@ mod tests {
         cfg.obs = obs.clone();
         let analysis = analyze(&program, 2, &cfg).unwrap();
         let simcfg = SimConfig::gainestown(2);
-        let results = simulate_representatives(&analysis, &program, 2, &simcfg, false).unwrap();
+        let plan = PreparedCheckpoints::from_reset(&analysis);
+        let results =
+            simulate_prepared(&plan, &program, 2, &simcfg, &SimOptions::default()).unwrap();
 
         let report = diagnose("phased", 2, &analysis, &results, None, &obs);
         assert_eq!(report.error_cycles, 0.0);

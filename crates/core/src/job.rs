@@ -15,7 +15,7 @@ use crate::error::LoopPointError;
 use crate::extrapolate::extrapolate;
 use crate::persist::{analyze_cached, prepare_region_checkpoints_cached};
 use crate::pipeline::analyze;
-use crate::simulate::{prepare_region_checkpoints, simulate_prepared_with_cancel, SimOptions};
+use crate::simulate::{prepare_region_checkpoints, simulate_regions, SimOptions};
 use lp_isa::Program;
 use lp_store::Store;
 use lp_uarch::SimConfig;
@@ -80,7 +80,7 @@ impl JobSummary {
 /// simulation honoring `cfg.cancel`, and Eq. 1/2 extrapolation.
 ///
 /// `warmup_slices` is the checkpoint warmup window (the paper's default
-/// deployment uses 2).
+/// deployment uses [`crate::DEFAULT_WARMUP_SLICES`]).
 ///
 /// # Errors
 /// Any stage failure, or [`LoopPointError::Cancelled`] when the config's
@@ -122,8 +122,7 @@ pub fn run_job(
     };
     cfg.cancel.check()?;
 
-    let results =
-        simulate_prepared_with_cancel(&prepared, program, nthreads, simcfg, sim_opts, &cfg.cancel)?;
+    let results = simulate_regions(&prepared, program, nthreads, simcfg, sim_opts, &cfg.cancel)?;
     let prediction = extrapolate(&results);
 
     span.arg("regions", results.len());

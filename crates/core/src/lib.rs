@@ -23,8 +23,10 @@
 //!
 //! Entry points:
 //! * [`analyze`] — the one-time, up-front application analysis (§III-A..E);
-//! * [`simulate_representatives`] — binary-driven unconstrained simulation
-//!   of every looppoint with fast-forward warmup (§III-F, §V-A);
+//! * [`simulate_prepared`] — unconstrained simulation of every looppoint
+//!   (§III-F, §V-A), binary-driven from reset
+//!   ([`PreparedCheckpoints::from_reset`]) or checkpoint-driven
+//!   ([`prepare_region_checkpoints`]);
 //! * [`extrapolate`] — Eq. 1/2 runtime and metric reconstruction (§III-G);
 //! * [`diagnose`] — per-cluster accuracy attribution of the extrapolation
 //!   error (representativeness / warmup / multiplier residual);
@@ -44,7 +46,9 @@
 //! end-to-end: record, replay, slice, cluster, simulate, extrapolate.
 //!
 //! ```
-//! use looppoint::{analyze, simulate_representatives, extrapolate, LoopPointConfig};
+//! use looppoint::{
+//!     analyze, extrapolate, simulate_prepared, LoopPointConfig, PreparedCheckpoints, SimOptions,
+//! };
 //! use lp_isa::{AluOp, ProgramBuilder, Reg};
 //! use lp_omp::{OmpRuntime, WaitPolicy};
 //! use lp_uarch::SimConfig;
@@ -71,11 +75,13 @@
 //! let program = Arc::new(pb.finish());
 //!
 //! // Analyze (tiny slices so even this miniature program yields several),
-//! // simulate the representatives, extrapolate whole-program runtime.
+//! // simulate the representatives binary-driven (from reset), extrapolate
+//! // whole-program runtime.
 //! let analysis = analyze(&program, nthreads, &LoopPointConfig::with_slice_base(500))?;
 //! assert!(!analysis.looppoints.is_empty());
-//! let results = simulate_representatives(
-//!     &analysis, &program, nthreads, &SimConfig::gainestown(nthreads), false)?;
+//! let plan = PreparedCheckpoints::from_reset(&analysis);
+//! let simcfg = SimConfig::gainestown(nthreads);
+//! let results = simulate_prepared(&plan, &program, nthreads, &simcfg, &SimOptions::default())?;
 //! let prediction = extrapolate(&results);
 //! assert!(prediction.total_cycles > 0.0);
 //! # Ok(())
@@ -105,7 +111,7 @@ mod speedup;
 mod testutil;
 
 pub use cancel::CancelToken;
-pub use config::{LoopPointConfig, DEFAULT_MAX_STEPS};
+pub use config::{LoopPointConfig, DEFAULT_MAX_STEPS, DEFAULT_WARMUP_SLICES};
 pub use coverage::Coverage;
 pub use diagnose::diagnose;
 pub use error::LoopPointError;
@@ -123,9 +129,6 @@ pub use persist::{
 pub use pipeline::{analyze, Analysis, LoopPointRegion};
 pub use simulate::{
     prepare_region_checkpoints, prepare_region_checkpoints_per_region, simulate_prepared,
-    simulate_prepared_with_cancel, simulate_representatives, simulate_representatives_checkpointed,
-    simulate_representatives_checkpointed_with, simulate_representatives_opts,
-    simulate_representatives_with, simulate_whole, PreparedCheckpoints, PreparedRegion,
-    RegionResult, SimOptions,
+    simulate_whole, PreparedCheckpoints, PreparedRegion, RegionResult, SimOptions,
 };
 pub use speedup::{human_duration, speedups, SimTimeModel, SpeedupReport};

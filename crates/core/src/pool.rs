@@ -12,15 +12,6 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Effective pool width: `requested` if given, otherwise the host's
-/// available parallelism; always clamped to `[1, items]`.
-pub(crate) fn effective_pool_size(requested: Option<usize>, items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    requested.unwrap_or(hw).clamp(1, items.max(1))
-}
-
 /// Runs `f` over `items` on at most `pool_size` worker threads.
 ///
 /// Items are claimed work-stealing style off a shared atomic cursor, so an
@@ -145,12 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn effective_size_clamps() {
-        assert_eq!(effective_pool_size(Some(99), 3), 3);
-        assert_eq!(effective_pool_size(Some(2), 10), 2);
-        assert_eq!(effective_pool_size(Some(0), 10), 1);
-        assert!(effective_pool_size(None, 1000) >= 1);
-        assert_eq!(effective_pool_size(None, 0), 1);
+    fn pool_width_clamps_to_items() {
+        let items: Vec<u64> = (0..3).collect();
+        for width in [0, 2, 99] {
+            let out: Vec<u64> = run_cancelable(&items, width, |&x| Ok::<_, ()>(x)).unwrap();
+            assert_eq!(out, items, "width {width}");
+        }
     }
 
     #[test]

@@ -1,48 +1,52 @@
-//! Unconstrained, binary-driven simulation of looppoint regions.
+//! Region simulation (§III-F): one per-region body for both deployments.
+//!
+//! Binary-driven and checkpoint-driven simulation differ only in where a
+//! region starts: from reset ([`PreparedCheckpoints::from_reset`]) or
+//! from a pinball checkpoint ([`prepare_region_checkpoints`]). Both plans
+//! run through [`simulate_prepared`].
 
+use crate::cancel::CancelToken;
 use crate::config::DEFAULT_MAX_STEPS;
 use crate::error::LoopPointError;
 use crate::pipeline::{Analysis, LoopPointRegion};
 use crate::pool;
 use lp_isa::{MachineState, Marker, Pc, Program};
-use lp_sim::{Mode, SimError, SimStats, Simulator, StopCond};
+use lp_sim::{Mode, SimStats, Simulator, StopCond};
 use lp_uarch::SimConfig;
 use std::sync::Arc;
 
-/// Knobs shared by every region-simulation entry point.
+/// Knobs of [`simulate_prepared`].
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
     /// Hard step budget for any single fast-forward or detailed run
     /// (default: [`DEFAULT_MAX_STEPS`]).
     pub max_steps: u64,
-    /// Simulate regions concurrently on a bounded worker pool.
-    pub parallel: bool,
     /// Fast-forward warming of caches and predictors (`false` is the
     /// cold-start ablation).
     pub warmup: bool,
-    /// Worker-pool width when `parallel`; `None` uses
-    /// [`std::thread::available_parallelism`]. Always clamped to the
-    /// region count.
-    pub pool_size: Option<usize>,
+    /// Worker-pool width for concurrent region simulation; `<= 1` runs
+    /// the regions serially on the caller's thread (the default). Always
+    /// clamped to the region count.
+    pub pool_size: usize,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             max_steps: DEFAULT_MAX_STEPS,
-            parallel: false,
             warmup: true,
-            pool_size: None,
+            pool_size: 1,
         }
     }
 }
 
 impl SimOptions {
-    /// Options running regions on the bounded worker pool.
+    /// Options running regions on a worker pool as wide as
+    /// [`std::thread::available_parallelism`].
     #[must_use]
     pub fn parallel() -> Self {
         SimOptions {
-            parallel: true,
+            pool_size: std::thread::available_parallelism().map_or(1, usize::from),
             ..Default::default()
         }
     }
@@ -55,12 +59,12 @@ pub struct PreparedRegion {
     pub region: LoopPointRegion,
     /// Snapshotted machine state at the warmup marker plus the global
     /// `(PC, count)` watch counts at that point; `None` when the region
-    /// starts near program begin and is simulated from reset.
+    /// is simulated from reset.
     pub checkpoint: Option<(MachineState, Vec<(Pc, u64)>)>,
 }
 
-/// Region checkpoints ready for simulation, plus accounting of what their
-/// construction cost.
+/// A region-simulation plan: each region's start state, plus accounting of
+/// what building the checkpoints cost.
 #[derive(Debug)]
 pub struct PreparedCheckpoints {
     /// One prepared entry per looppoint, in looppoint order.
@@ -72,6 +76,27 @@ pub struct PreparedCheckpoints {
     pub replay_passes: u64,
 }
 
+impl PreparedCheckpoints {
+    /// The §III-F **binary-driven** plan: every region starts from reset
+    /// and fast-forwards (warming caches and predictors unless
+    /// [`SimOptions::warmup`] is off) from program start to its start
+    /// marker. No checkpoints, no replays.
+    #[must_use]
+    pub fn from_reset(analysis: &Analysis) -> PreparedCheckpoints {
+        PreparedCheckpoints {
+            regions: analysis
+                .looppoints
+                .iter()
+                .map(|region| PreparedRegion {
+                    region: region.clone(),
+                    checkpoint: None,
+                })
+                .collect(),
+            replay_passes: 0,
+        }
+    }
+}
+
 /// Detailed statistics for one simulated looppoint.
 #[derive(Debug, Clone)]
 pub struct RegionResult {
@@ -81,122 +106,11 @@ pub struct RegionResult {
     pub stats: SimStats,
 }
 
-/// Simulates one region: fast-forward (warming caches and predictors) from
-/// program start to the region's start marker, then detailed until its end
-/// marker (§III-F's binary-driven warmup).
-fn simulate_one(
-    region: &LoopPointRegion,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    max_steps: u64,
-    warmup: bool,
-) -> Result<SimStats, SimError> {
-    let obs = lp_obs::global();
-    let mut span = obs.span("region.sim", "pipeline");
-    span.arg("cluster", region.cluster);
-    span.arg("slice_index", region.slice_index);
-    span.arg("multiplier", region.multiplier);
-    let mut sim = Simulator::new(program.clone(), nthreads, simcfg.clone());
-    sim.set_ff_warming(warmup);
-    if let Some(s) = region.start {
-        sim.watch_pc(s.pc);
-    }
-    if let Some(e) = region.end {
-        sim.watch_pc(e.pc);
-    }
-    if let Some(s) = region.start {
-        sim.run(Mode::FastForward, Some(StopCond::Marker(s)), max_steps)?;
-    }
-    let stats = sim.run(Mode::Detailed, region.end.map(StopCond::Marker), max_steps)?;
-    span.arg("instructions", stats.instructions);
-    span.arg("cycles", stats.cycles);
-    obs.counter("region.sims").inc();
-    Ok(stats)
-}
-
-/// Simulates every looppoint unconstrained on `simcfg`.
-///
-/// With `parallel = true`, regions run concurrently on a bounded worker
-/// pool — the deployment §III-J describes (checkpoints simulated in
-/// parallel given enough resources); wall-clock times then feed the
-/// *actual parallel* speedup numbers.
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    parallel: bool,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    simulate_representatives_opts(analysis, program, nthreads, simcfg, parallel, true)
-}
-
-/// Like [`simulate_representatives`], with explicit control over
-/// fast-forward warming (`warmup = false` is the cold-start ablation).
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives_opts(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    parallel: bool,
-    warmup: bool,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    let opts = SimOptions {
-        parallel,
-        warmup,
-        ..Default::default()
-    };
-    simulate_representatives_with(analysis, program, nthreads, simcfg, &opts)
-}
-
-/// Fully-configurable binary-driven region simulation (see [`SimOptions`]).
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives_with(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    opts: &SimOptions,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    let run_one = |region: &LoopPointRegion| -> Result<RegionResult, SimError> {
-        simulate_one(
-            region,
-            program,
-            nthreads,
-            simcfg,
-            opts.max_steps,
-            opts.warmup,
-        )
-        .map(|stats| RegionResult {
-            region: region.clone(),
-            stats,
-        })
-    };
-    if !opts.parallel {
-        return analysis
-            .looppoints
-            .iter()
-            .map(|region| run_one(region).map_err(LoopPointError::from))
-            .collect();
-    }
-    let workers = pool::effective_pool_size(opts.pool_size, analysis.looppoints.len());
-    pool::run_cancelable(&analysis.looppoints, workers, run_one).map_err(LoopPointError::from)
-}
-
-/// Builds the per-region checkpoints for
-/// [`simulate_representatives_checkpointed_with`] in a **single pinball
-/// replay**, regardless of region count.
+/// Builds the §III-F **checkpoint-driven** plan: each region restores a
+/// pinball checkpoint taken `warmup_slices` slices before its start marker
+/// (regions that close to program start begin from reset). All
+/// checkpoints come from a **single pinball replay**, regardless of region
+/// count.
 ///
 /// Regions are sorted by warmup-marker position into a multi-marker agenda
 /// and batched through [`lp_pinball::Pinball::checkpoints_at`]; each
@@ -224,17 +138,16 @@ pub fn prepare_region_checkpoints(
     let mut watch: Vec<Pc> = Vec::new();
     for region in &analysis.looppoints {
         let warm_idx = region.slice_index.saturating_sub(warmup_slices);
-        let warm_marker = analysis.profile.slices[warm_idx].start;
-        match warm_marker {
+        match analysis.profile.slices[warm_idx].start {
             None => marker_slots.push(None), // near program start: from reset
             Some(marker) => {
                 marker_slots.push(Some(markers.len()));
                 markers.push(marker);
             }
         }
-        for m in [region.start, region.end].into_iter().flatten() {
-            if !watch.contains(&m.pc) {
-                watch.push(m.pc);
+        for pc in boundary_pcs(region) {
+            if !watch.contains(&pc) {
+                watch.push(pc);
             }
         }
     }
@@ -271,14 +184,10 @@ pub fn prepare_region_checkpoints_per_region(
     let mut replay_passes = 0u64;
     for region in &analysis.looppoints {
         let warm_idx = region.slice_index.saturating_sub(warmup_slices);
-        let warm_marker = analysis.profile.slices[warm_idx].start;
-        let checkpoint = match warm_marker {
+        let checkpoint = match analysis.profile.slices[warm_idx].start {
             None => None,
             Some(marker) => {
-                let mut watch = Vec::new();
-                for m in [region.start, region.end].into_iter().flatten() {
-                    watch.push(m.pc);
-                }
+                let watch = boundary_pcs(region);
                 let (ckpt, counts) =
                     analysis
                         .pinball
@@ -299,6 +208,18 @@ pub fn prepare_region_checkpoints_per_region(
         regions,
         replay_passes,
     })
+}
+
+/// The region's distinct start/end marker PCs.
+fn boundary_pcs(region: &LoopPointRegion) -> Vec<Pc> {
+    let mut pcs: Vec<Pc> = region
+        .start
+        .iter()
+        .chain(&region.end)
+        .map(|m| m.pc)
+        .collect();
+    pcs.dedup();
+    pcs
 }
 
 fn record_checkpoint_size(state: &MachineState) {
@@ -322,13 +243,8 @@ fn assemble_prepared(
                 record_checkpoint_size(ckpt.state());
                 // Filter the union watch counts down to this region's own
                 // start/end PCs (exactly the legacy per-region payload).
-                let mut own: Vec<(Pc, u64)> = Vec::new();
-                for m in [region.start, region.end].into_iter().flatten() {
-                    if own.iter().all(|&(pc, _)| pc != m.pc) {
-                        own.push((m.pc, counts[&m.pc]));
-                    }
-                }
-                (ckpt.state().clone(), own)
+                let own = boundary_pcs(region).into_iter().map(|pc| (pc, counts[&pc]));
+                (ckpt.state().clone(), own.collect())
             });
             PreparedRegion {
                 region: region.clone(),
@@ -338,66 +254,17 @@ fn assemble_prepared(
         .collect()
 }
 
-/// Simulates every looppoint **checkpoint-driven**: each region restores a
-/// pinball checkpoint taken `warmup_slices` slices before its start marker,
-/// fast-forwards (warming caches and predictors) through that short warmup
-/// window, and then runs detailed to the end marker.
+/// Simulates every region of a plan unconstrained on `simcfg`: restore the
+/// start state, fast-forward (warming caches and predictors) to the start
+/// marker, then run detailed to the end marker.
 ///
-/// This is the deployment the paper's title describes: regions ship as
-/// checkpoints, so no simulation time is spent re-executing the program
-/// prefix — the property behind the large *actual* speedups of §V-B.
-/// Checkpoint construction is a **single** replay of the analysis pinball
-/// (see [`prepare_region_checkpoints`]) and a one-time, shareable cost
-/// (like pinball generation itself); it is not charged to the per-region
-/// simulation time.
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives_checkpointed(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    warmup_slices: usize,
-    parallel: bool,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    let opts = SimOptions {
-        parallel,
-        ..Default::default()
-    };
-    simulate_representatives_checkpointed_with(
-        analysis,
-        program,
-        nthreads,
-        simcfg,
-        warmup_slices,
-        &opts,
-    )
-}
-
-/// Fully-configurable checkpoint-driven region simulation (see
-/// [`SimOptions`]): single-pass checkpoint generation, then serial or
-/// bounded-pool region runs.
-///
-/// # Errors
-/// The first region failure is returned; outstanding parallel work is
-/// cancelled.
-pub fn simulate_representatives_checkpointed_with(
-    analysis: &Analysis,
-    program: &Arc<Program>,
-    nthreads: usize,
-    simcfg: &SimConfig,
-    warmup_slices: usize,
-    opts: &SimOptions,
-) -> Result<Vec<RegionResult>, LoopPointError> {
-    let prepared = prepare_region_checkpoints(analysis, program, warmup_slices)?;
-    simulate_prepared(&prepared, program, nthreads, simcfg, opts)
-}
-
-/// Simulates already-prepared region checkpoints (the second half of
-/// [`simulate_representatives_checkpointed_with`]; split out so benchmarks
-/// can time checkpoint construction and simulation separately).
+/// With [`PreparedCheckpoints::from_reset`] this is binary-driven
+/// simulation; with [`prepare_region_checkpoints`] it is the
+/// checkpoint-driven deployment the paper's title describes, where no
+/// simulation time is spent re-executing the program prefix (the property
+/// behind the large *actual* speedups of §V-B). With
+/// [`SimOptions::pool_size`] above 1, regions run concurrently on a
+/// bounded worker pool (§III-J).
 ///
 /// # Errors
 /// The first region failure is returned; outstanding parallel work is
@@ -409,33 +276,21 @@ pub fn simulate_prepared(
     simcfg: &SimConfig,
     opts: &SimOptions,
 ) -> Result<Vec<RegionResult>, LoopPointError> {
-    simulate_prepared_with_cancel(
-        prepared,
-        program,
-        nthreads,
-        simcfg,
-        opts,
-        &crate::CancelToken::default(),
-    )
+    let cancel = CancelToken::default();
+    simulate_regions(prepared, program, nthreads, simcfg, opts, &cancel)
 }
 
-/// [`simulate_prepared`] honoring a cooperative [`crate::CancelToken`]:
-/// the token is checked before every region (serial and pooled alike), so
-/// a tripped token aborts the sweep with [`LoopPointError::Cancelled`]
-/// after at most one in-flight region per worker completes. This is the
-/// hook the lp-farm service uses for per-job timeouts and explicit
-/// cancellation.
-///
-/// # Errors
-/// The first region failure — or [`LoopPointError::Cancelled`] — is
-/// returned; outstanding parallel work is cancelled.
-pub fn simulate_prepared_with_cancel(
+/// [`simulate_prepared`] honoring a cooperative [`CancelToken`]: the token
+/// is checked before every region (serial and pooled alike), so a tripped
+/// token aborts the sweep with [`LoopPointError::Cancelled`] after at most
+/// one in-flight region per worker completes.
+pub(crate) fn simulate_regions(
     prepared: &PreparedCheckpoints,
     program: &Arc<Program>,
     nthreads: usize,
     simcfg: &SimConfig,
     opts: &SimOptions,
-    cancel: &crate::CancelToken,
+    cancel: &CancelToken,
 ) -> Result<Vec<RegionResult>, LoopPointError> {
     let max_steps = opts.max_steps;
     let run_one = |p: &PreparedRegion| -> Result<RegionResult, LoopPointError> {
@@ -444,6 +299,8 @@ pub fn simulate_prepared_with_cancel(
         let obs = lp_obs::global();
         let mut span = obs.span("region.sim", "pipeline");
         span.arg("cluster", region.cluster);
+        span.arg("slice_index", region.slice_index);
+        span.arg("multiplier", region.multiplier);
         span.arg("checkpointed", u64::from(p.checkpoint.is_some()));
         let mut sim = match &p.checkpoint {
             None => Simulator::new(program.clone(), nthreads, simcfg.clone()),
@@ -457,13 +314,12 @@ pub fn simulate_prepared_with_cancel(
             }
         };
         sim.set_ff_warming(opts.warmup);
-        if let Some(s) = region.start {
-            sim.watch_pc(s.pc);
+        for pc in boundary_pcs(region) {
+            sim.watch_pc(pc);
         }
-        if let Some(e) = region.end {
-            sim.watch_pc(e.pc);
-        }
-        if let Some(s) = region.start {
+        // A checkpoint cut at the start marker itself (zero warmup
+        // slices) has already retired it: run cold from there.
+        if let Some(s) = region.start.filter(|s| sim.watch_count(s.pc) < s.count) {
             sim.run(Mode::FastForward, Some(StopCond::Marker(s)), max_steps)?;
         }
         let stats = sim.run(Mode::Detailed, region.end.map(StopCond::Marker), max_steps)?;
@@ -476,11 +332,10 @@ pub fn simulate_prepared_with_cancel(
         })
     };
 
-    if !opts.parallel {
+    if opts.pool_size <= 1 {
         return prepared.regions.iter().map(run_one).collect();
     }
-    let workers = pool::effective_pool_size(opts.pool_size, prepared.regions.len());
-    pool::run_cancelable(&prepared.regions, workers, run_one)
+    pool::run_cancelable(&prepared.regions, opts.pool_size, run_one)
 }
 
 /// Simulates the whole application in detailed mode (the reference run the
@@ -496,4 +351,33 @@ pub fn simulate_whole(
     let _span = lp_obs::global().span("sim.whole", "pipeline");
     lp_sim::simulate_full(program.clone(), nthreads, simcfg.clone(), DEFAULT_MAX_STEPS)
         .map_err(LoopPointError::from)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{analyze, LoopPointConfig};
+    use lp_omp::WaitPolicy;
+
+    #[test]
+    fn tripped_token_aborts_binary_driven_sweeps() {
+        let program = crate::testutil::phased_program(2, WaitPolicy::Passive, 6);
+        let analysis = analyze(&program, 2, &LoopPointConfig::with_slice_base(2_000)).unwrap();
+        let plan = PreparedCheckpoints::from_reset(&analysis);
+        assert!(plan.regions.len() >= 2 && plan.replay_passes == 0);
+        let simcfg = SimConfig::gainestown(2);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        for pool_size in [1, 2] {
+            let opts = SimOptions {
+                pool_size,
+                ..Default::default()
+            };
+            let err = simulate_regions(&plan, &program, 2, &simcfg, &opts, &cancel).unwrap_err();
+            assert!(
+                matches!(err, LoopPointError::Cancelled),
+                "pool_size {pool_size}: {err}"
+            );
+        }
+    }
 }

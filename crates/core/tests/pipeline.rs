@@ -3,8 +3,9 @@
 //! workload suite.
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, speedups,
-    LoopPointConfig,
+    analyze, error_pct, extrapolate, prepare_region_checkpoints, simulate_prepared, simulate_whole,
+    speedups, Analysis, LoopPointConfig, PreparedCheckpoints, RegionResult, SimOptions,
+    DEFAULT_WARMUP_SLICES,
 };
 use lp_isa::{AluOp, ProgramBuilder, Reg};
 use lp_omp::WaitPolicy;
@@ -24,12 +25,28 @@ fn small_cfg() -> LoopPointConfig {
     LoopPointConfig::with_slice_base(8_000)
 }
 
+/// Binary-driven region simulation on a `pool_size`-wide pool (1 = serial).
+fn from_reset(
+    analysis: &Analysis,
+    p: &Arc<lp_isa::Program>,
+    n: usize,
+    simcfg: &SimConfig,
+    pool_size: usize,
+) -> Vec<RegionResult> {
+    let opts = SimOptions {
+        pool_size,
+        ..Default::default()
+    };
+    let plan = PreparedCheckpoints::from_reset(analysis);
+    simulate_prepared(&plan, p, n, simcfg, &opts).unwrap()
+}
+
 /// Runs the full pipeline and returns (prediction error %, analysis size
 /// facts) for one workload/policy.
 fn end_to_end(name: &str, policy: WaitPolicy, simcfg: &SimConfig) -> f64 {
     let (p, n) = workload(name, policy);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, simcfg, false).unwrap();
+    let results = from_reset(&analysis, &p, n, simcfg, 1);
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, simcfg).unwrap();
     error_pct(prediction.total_cycles, full.cycles as f64)
@@ -93,7 +110,7 @@ fn looppoints_are_portable_across_microarchitectures() {
     let (p, n) = workload("603.bwaves_s.1", WaitPolicy::Passive);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
     let cfg = SimConfig::gainestown_inorder(NTHREADS);
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = from_reset(&analysis, &p, n, &cfg, 1);
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
@@ -105,7 +122,7 @@ fn metric_extrapolation_tracks_full_run() {
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = from_reset(&analysis, &p, n, &cfg, 1);
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
 
@@ -130,7 +147,7 @@ fn speedup_report_shape() {
     let (p, n) = workload("649.fotonik3d_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = from_reset(&analysis, &p, n, &cfg, 1);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let sp = speedups(&analysis, &results, &full);
 
@@ -152,8 +169,8 @@ fn parallel_and_serial_region_simulation_agree() {
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let serial = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
-    let parallel = simulate_representatives(&analysis, &p, n, &cfg, true).unwrap();
+    let serial = from_reset(&analysis, &p, n, &cfg, 1);
+    let parallel = from_reset(&analysis, &p, n, &cfg, 3);
     assert_eq!(serial.len(), parallel.len());
     for (s, par) in serial.iter().zip(&parallel) {
         assert_eq!(
@@ -171,7 +188,7 @@ fn single_threaded_application_works() {
     assert_eq!(n, 1);
     let cfg = SimConfig::gainestown(1);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = from_reset(&analysis, &p, n, &cfg, 1);
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
@@ -186,7 +203,7 @@ fn heterogeneous_application_works() {
     assert_eq!(n, 4);
     let cfg = SimConfig::gainestown(4);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let results = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
+    let results = from_reset(&analysis, &p, n, &cfg, 1);
     let prediction = extrapolate(&results);
     let full = simulate_whole(&p, n, &cfg).unwrap();
     let err = error_pct(prediction.total_cycles, full.cycles as f64);
@@ -215,9 +232,9 @@ fn checkpoint_driven_simulation_matches_binary_driven() {
     let (p, n) = workload("619.lbm_s.1", WaitPolicy::Passive);
     let cfg = SimConfig::gainestown(NTHREADS);
     let analysis = analyze(&p, n, &small_cfg()).unwrap();
-    let binary = simulate_representatives(&analysis, &p, n, &cfg, false).unwrap();
-    let ckpt =
-        looppoint::simulate_representatives_checkpointed(&analysis, &p, n, &cfg, 2, false).unwrap();
+    let binary = from_reset(&analysis, &p, n, &cfg, 1);
+    let prepared = prepare_region_checkpoints(&analysis, &p, DEFAULT_WARMUP_SLICES).unwrap();
+    let ckpt = simulate_prepared(&prepared, &p, n, &cfg, &SimOptions::default()).unwrap();
 
     let pred_b = extrapolate(&binary).total_cycles;
     let pred_c = extrapolate(&ckpt).total_cycles;

@@ -4,7 +4,6 @@
 
 use looppoint::{
     analyze, prepare_region_checkpoints, prepare_region_checkpoints_per_region, simulate_prepared,
-    simulate_representatives_checkpointed, simulate_representatives_checkpointed_with,
     LoopPointConfig, SimOptions,
 };
 use lp_omp::WaitPolicy;
@@ -110,29 +109,20 @@ fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
     let (p, n, analysis) = demo_analysis();
     let simcfg = SimConfig::gainestown(n);
 
-    // Serial, via the classic entry point (single-pass prepare inside).
-    let serial =
-        simulate_representatives_checkpointed(&analysis, &p, n, &simcfg, WARMUP_SLICES, false)
-            .unwrap();
+    // Single-pass prepare + serial simulate.
+    let prepared = prepare_region_checkpoints(&analysis, &p, WARMUP_SLICES).unwrap();
+    let serial = simulate_prepared(&prepared, &p, n, &simcfg, &SimOptions::default()).unwrap();
 
     // Legacy prepare + serial simulate: the pre-PR result.
     let legacy_prep = prepare_region_checkpoints_per_region(&analysis, &p, WARMUP_SLICES).unwrap();
     let legacy = simulate_prepared(&legacy_prep, &p, n, &simcfg, &SimOptions::default()).unwrap();
 
     // Bounded-pool parallel run.
-    let pooled = simulate_representatives_checkpointed_with(
-        &analysis,
-        &p,
-        n,
-        &simcfg,
-        WARMUP_SLICES,
-        &SimOptions {
-            parallel: true,
-            pool_size: Some(3),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let pool = SimOptions {
+        pool_size: 3,
+        ..Default::default()
+    };
+    let pooled = simulate_prepared(&prepared, &p, n, &simcfg, &pool).unwrap();
 
     assert_eq!(serial.len(), legacy.len());
     assert_eq!(serial.len(), pooled.len());
@@ -141,5 +131,24 @@ fn checkpointed_simulation_unchanged_by_single_pass_and_pool() {
         assert_eq!(s.region.slice_index, q.region.slice_index);
         assert_stats_eq(&s.stats, &l.stats, "single-pass vs legacy prepare");
         assert_stats_eq(&s.stats, &q.stats, "serial vs pooled simulation");
+    }
+}
+
+#[test]
+fn zero_warmup_runs_cold_from_the_start_marker_checkpoint() {
+    // With no warmup window the checkpoint is cut at the region's start
+    // marker itself, after it retired: simulation must start detailed
+    // right there, with no fast-forward leg.
+    let (p, n, analysis) = demo_analysis();
+    let prepared = prepare_region_checkpoints(&analysis, &p, 0).unwrap();
+    assert!(prepared.regions.iter().any(|r| r.checkpoint.is_some()));
+    let simcfg = SimConfig::gainestown(n);
+    let results = simulate_prepared(&prepared, &p, n, &simcfg, &SimOptions::default()).unwrap();
+    assert_eq!(results.len(), prepared.regions.len());
+    for (r, prep) in results.iter().zip(&prepared.regions) {
+        if prep.checkpoint.is_some() {
+            assert_eq!(r.stats.ff_instructions, 0, "slice {}", r.region.slice_index);
+        }
+        assert!(r.stats.instructions > 0);
     }
 }

@@ -88,6 +88,20 @@ fn cold_then_warm_is_byte_identical() {
 }
 
 #[test]
+fn independent_analyses_encode_identical_meta() {
+    // The DCFG is canonical: nothing in the persisted analysis depends on
+    // hash-map iteration order, which differs between map instances.
+    let program = workload();
+    let cfg = small_cfg();
+    let a = analyze(&program, NTHREADS, &cfg).unwrap();
+    let b = analyze(&program, NTHREADS, &cfg).unwrap();
+    assert_eq!(
+        encode_analysis_meta(&a.dcfg, &a.looppoints),
+        encode_analysis_meta(&b.dcfg, &b.looppoints)
+    );
+}
+
+#[test]
 fn corrupt_artifact_is_detected_and_recomputed() {
     let program = workload();
     let cfg = small_cfg();

@@ -157,7 +157,9 @@ impl Dcfg {
         // Implicit straight-line fall-through: a block that ends without a
         // control transfer flows into the next block.
         let mut implicit: Vec<(Pc, Pc)> = Vec::new();
-        for image_blocks in index.values() {
+        let mut images: Vec<&ImageId> = index.keys().collect();
+        images.sort();
+        for image_blocks in images.into_iter().map(|image| &index[image]) {
             for window in image_blocks.windows(2) {
                 let (_, a_id) = window[0];
                 let (next_off, b_id) = window[1];
@@ -194,7 +196,11 @@ impl Dcfg {
                 routine_entries.insert(b);
             }
         }
-        for (&(from, to), data) in &builder.edges {
+        // Sorted, so routine and loop order (and the persisted analysis)
+        // do not depend on hash-map iteration order.
+        let mut recorded: Vec<_> = builder.edges.iter().collect();
+        recorded.sort_unstable_by_key(|&(&key, _)| key);
+        for (&(from, to), data) in recorded {
             let (Some(fb), Some(tb)) = (
                 lookup_in(&index, &blocks, from),
                 lookup_in(&index, &blocks, to),

@@ -245,7 +245,7 @@ impl JobBackend for PipelineBackend {
                 &cfg,
                 &simcfg,
                 &opts,
-                2,
+                looppoint::DEFAULT_WARMUP_SLICES,
                 self.store.as_deref(),
             )
             .map_err(|e| e.to_string())?;

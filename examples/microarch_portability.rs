@@ -3,7 +3,8 @@
 //! Run with: `cargo run --release --example microarch_portability`
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, LoopPointConfig,
+    analyze, error_pct, extrapolate, simulate_prepared, simulate_whole, LoopPointConfig,
+    PreparedCheckpoints, SimOptions,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -27,7 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for simcfg in [SimConfig::gainestown(8), SimConfig::gainestown_inorder(8)] {
-        let results = simulate_representatives(&analysis, &program, nthreads, &simcfg, true)?;
+        let plan = PreparedCheckpoints::from_reset(&analysis);
+        let results =
+            simulate_prepared(&plan, &program, nthreads, &simcfg, &SimOptions::parallel())?;
         let prediction = extrapolate(&results);
         let full = simulate_whole(&program, nthreads, &simcfg)?;
         println!(

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use looppoint::{
-    analyze, error_pct, extrapolate, simulate_representatives, simulate_whole, speedups,
-    LoopPointConfig,
+    analyze, error_pct, extrapolate, simulate_prepared, simulate_whole, speedups, LoopPointConfig,
+    PreparedCheckpoints, SimOptions,
 };
 use lp_omp::WaitPolicy;
 use lp_uarch::SimConfig;
@@ -44,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Simulate each representative unconstrained (warmup + detailed),
     //    in parallel.
-    let results = simulate_representatives(&analysis, &program, nthreads, &simcfg, true)?;
+    let plan = PreparedCheckpoints::from_reset(&analysis);
+    let results = simulate_prepared(&plan, &program, nthreads, &simcfg, &SimOptions::parallel())?;
 
     // 3. Extrapolate whole-program performance (Eq. 1-2).
     let prediction = extrapolate(&results);

@@ -21,9 +21,9 @@
 //! address). A killed process dies by signal and reports no exit code.
 
 use looppoint::{
-    analyze, analyze_cached, diagnose, error_pct, extrapolate, prepare_region_checkpoints_cached,
-    simulate_prepared, simulate_representatives_checkpointed_with, simulate_whole, speedups,
-    DiagReport, LoopPointConfig, SimOptions, DEFAULT_MAX_STEPS,
+    analyze, analyze_cached, diagnose, error_pct, extrapolate, prepare_region_checkpoints,
+    prepare_region_checkpoints_cached, simulate_prepared, simulate_whole, speedups, DiagReport,
+    LoopPointConfig, SimOptions, DEFAULT_MAX_STEPS, DEFAULT_WARMUP_SLICES,
 };
 use lp_farm::{Farm, FarmConfig, FarmServer, PipelineBackend, ShutdownMode};
 use lp_farm_proto::FarmClient;
@@ -193,7 +193,7 @@ OPTIONS:
         --max-steps <n>        hard step budget for any single simulation
                                or replay [default: 4000000000]
         --pool-size <n>        simulate regions concurrently on a bounded
-                               worker pool of n threads; 0 = serial
+                               worker pool of n threads; 0 or 1 = serial
                                [default: 0]
         --native               run the program natively (functional only)
         --trace-out <path>     write a Chrome trace_event JSON of every
@@ -434,9 +434,10 @@ fn run_one(
     }
     obs.set_phase(&format!("simulate-regions:{}", spec.name));
     lp_info!(
-        "[2/4] simulating {} regions (checkpoint-driven, 2-slice warmup{}) ...",
+        "[2/4] simulating {} regions (checkpoint-driven, {}-slice warmup{}) ...",
         analysis.looppoints.len(),
-        if args.pool_size > 0 {
+        DEFAULT_WARMUP_SLICES,
+        if args.pool_size > 1 {
             format!(", {}-wide pool", args.pool_size)
         } else {
             String::new()
@@ -444,23 +445,27 @@ fn run_one(
     );
     let sim_opts = SimOptions {
         max_steps: args.max_steps,
-        parallel: args.pool_size > 0,
-        pool_size: (args.pool_size > 0).then_some(args.pool_size),
+        pool_size: args.pool_size,
         ..Default::default()
     };
-    let results = match store {
+    let prepared = match store {
         Some(store) => {
-            let (prepared, ck_hit) =
-                prepare_region_checkpoints_cached(&analysis, &program, nthreads, &cfg, 2, store)?;
+            let (prepared, ck_hit) = prepare_region_checkpoints_cached(
+                &analysis,
+                &program,
+                nthreads,
+                &cfg,
+                DEFAULT_WARMUP_SLICES,
+                store,
+            )?;
             if ck_hit {
                 lp_info!("      region checkpoints served from the artifact store");
             }
-            simulate_prepared(&prepared, &program, nthreads, &simcfg, &sim_opts)?
+            prepared
         }
-        None => simulate_representatives_checkpointed_with(
-            &analysis, &program, nthreads, &simcfg, 2, &sim_opts,
-        )?,
+        None => prepare_region_checkpoints(&analysis, &program, DEFAULT_WARMUP_SLICES)?,
     };
+    let results = simulate_prepared(&prepared, &program, nthreads, &simcfg, &sim_opts)?;
 
     obs.set_phase(&format!("extrapolate:{}", spec.name));
     lp_info!("[3/4] extrapolating whole-program performance ...");
